@@ -1,10 +1,13 @@
 """The round loop: set up, serve, check, and reduce rounds to metrics.
 
-One run of a workload serves at least one round, and starts another
-only while it would end within ``seconds``.  Every round builds a fresh
-stack (the timed set-up), serves that round's inputs on the Ecco arm and
-the fp16 arm, then checks the outputs outside the timed region.  Each
-round gives every end-to-end figure; a run reports their medians.
+One run of a workload serves a fixed number of rounds: ``seconds``
+divided by the workload's nominal round time, so the count never
+depends on how fast the run goes.  Every round builds a fresh stack (the
+timed set-up), serves that round's inputs on the Ecco arm and the fp16
+arm, then checks the outputs outside the timed region.  Throughput and
+set-up time are medians over the rounds, except that fp16 throughput is
+the best of the run's fp16 passes; latency percentiles are taken over
+the samples of all rounds pooled.
 
 A traced run does the same on half-size rounds, but serves the Ecco arm
 twice on each round's inputs, once untraced and once inside the
@@ -24,7 +27,7 @@ from repro.llm.data import SyntheticCorpus
 
 import layers
 from tracer import Tracer, clock
-from workloads import WORKLOADS, Audit, audit_arm
+from workloads import WORKLOADS, Audit, audit_arm, audit_ecco
 
 #: (metric name, unit) of every end-to-end metric, in report order.
 END_TO_END = [
@@ -53,10 +56,11 @@ class Tally:
 
     setup_s: list[float] = field(default_factory=list)
     tok_s: list[float] = field(default_factory=list)
+    #: Throughput of every fp16 pass of the run.
     fp16_tok_s: list[float] = field(default_factory=list)
-    #: Per round: (TTFT, ITL) percentiles in ms, keyed by metric name.
-    latency_ms: dict[str, list[float]] = field(default_factory=dict)
-    samples: dict[str, int] = field(default_factory=lambda: {"ttft": 0, "itl": 0})
+    #: TTFT and ITL samples of every Ecco pass, in seconds.
+    ttft_s: list[float] = field(default_factory=list)
+    itl_s: list[float] = field(default_factory=list)
     sent: int = 0
     failed: int = 0
     matched: int = 0
@@ -65,22 +69,16 @@ class Tally:
 
     def add_ecco(self, arm) -> None:
         self.tok_s.append(arm.tok_s)
-        for kind, samples in (("ttft", arm.ttft_s), ("itl", arm.itl_s)):
-            self.samples[kind] += len(samples)
-            for q in (50, 95):
-                self.latency_ms.setdefault(f"{kind}_p{q}_ms", []).append(
-                    1e3 * float(np.percentile(samples, q))
-                )
+        self.ttft_s.extend(arm.ttft_s)
+        self.itl_s.extend(arm.itl_s)
         self.sent += arm.sent
         self.failed += arm.failed
         audit_arm(arm, self.audit)
 
     def add_fp16(self, arms, ecco) -> None:
-        """The round's fp16 passes: the best pass's throughput (a pass
-        takes a fraction of a second, and interference from other work
-        on the machine only ever slows it), and how many of Ecco's
-        greedy tokens equal fp16's at the same position."""
-        self.fp16_tok_s.append(max(arm.tok_s for arm in arms))
+        """The round's fp16 passes: their throughput, and how many of
+        Ecco's greedy tokens equal fp16's at the same position."""
+        self.fp16_tok_s.extend(arm.tok_s for arm in arms)
         for arm in arms:
             audit_arm(arm, self.audit)
         for i, reference in arms[0].tokens.items():
@@ -128,7 +126,7 @@ def _warm_up(seed: int, corpus) -> None:
     """A few requests through one engine per backend, untimed: first-call
     costs (BLAS start-up, first codec fits, encodes and decodes) stay
     out of every timed figure."""
-    workload = WORKLOADS["decode_batch"](seconds=0.0, scale=WARMUP_SCALE)
+    workload = WORKLOADS["decode_batch"](scale=WARMUP_SCALE)
     stack = workload.setup()
     inputs = workload.inputs(seed, WARMUP_ROUND, corpus)
     for storage in ("ecco", "fp16"):
@@ -141,11 +139,14 @@ def _round(workload, inputs, tally: Tally) -> None:
     ecco = workload.serve(stack, inputs, "ecco")
     tally.add_ecco(ecco)
     tally.add_fp16(_fp16_passes(workload, stack, inputs), ecco)
+    audit_ecco(workload, stack, inputs, tally.audit)
 
 
 def _traced_round(workload, inputs, tally: Tally, traced: Traced) -> None:
     """The Ecco arm untraced, then on a fresh stack inside the spans."""
-    untraced = workload.serve(_timed_setup(workload, tally), inputs, "ecco")
+    stack = _timed_setup(workload, tally)
+    untraced = workload.serve(stack, inputs, "ecco")
+    audit_ecco(workload, stack, inputs, tally.audit)
     tally.add_ecco(untraced)
     traced.untraced_tok_s.append(untraced.tok_s)
     del untraced
@@ -163,14 +164,11 @@ def run(name: str, seed: int, seconds: float, trace: bool, scale: float = 1.0) -
     """One benchmark run; returns the result object ``run.py`` prints."""
     corpus = SyntheticCorpus()
     _warm_up(seed, corpus)
-    workload = WORKLOADS[name](seconds, scale / 2 if trace else scale)
+    workload = WORKLOADS[name](scale / 2 if trace else scale)
+    rounds = workload.rounds(seconds)
     tally, traced = Tally(), Traced()
-    start = clock()
-    rounds, round_s = 0, 0.0
-    while rounds == 0 or clock() - start + round_s <= seconds:
-        inputs = workload.inputs(seed, rounds, corpus)
-        rounds += 1
-        round_start = clock()
+    for round_index in range(rounds):
+        inputs = workload.inputs(seed, round_index, corpus)
         if trace:
             _traced_round(workload, inputs, tally, traced)
         else:
@@ -179,7 +177,6 @@ def run(name: str, seed: int, seconds: float, trace: bool, scale: float = 1.0) -
             # reference cycles: free the round now, so the peak RSS is
             # one round's and not a function of the round count.
             gc.collect()
-        round_s = clock() - round_start
     while len(tally.setup_s) < MIN_SETUPS:
         _timed_setup(workload, tally)
 
@@ -200,21 +197,26 @@ def run(name: str, seed: int, seconds: float, trace: bool, scale: float = 1.0) -
         "problems": tally.audit.problems,
         "rounds": rounds,
         "round_tok_s": [round(x, 3) for x in tally.tok_s],
-        "round_fp16_tok_s": [round(x, 3) for x in tally.fp16_tok_s],
-        "samples": tally.samples,
+        "fp16_pass_tok_s": [round(x, 3) for x in tally.fp16_tok_s],
+        "samples": {"ttft": len(tally.ttft_s), "itl": len(tally.itl_s)},
     }
 
 
 def end_to_end_metrics(tally: Tally) -> dict[str, float]:
     audit = tally.audit
-    latency = {k: statistics.median(v) for k, v in tally.latency_ms.items()}
+    ttft_ms, itl_ms = 1e3 * np.asarray(tally.ttft_s), 1e3 * np.asarray(tally.itl_s)
     return {
         "setup_s": statistics.median(tally.setup_s),
         "tok_s": statistics.median(tally.tok_s),
-        "fp16_tok_s": statistics.median(tally.fp16_tok_s),
-        **{name: latency[name] for name in (
-            "ttft_p50_ms", "ttft_p95_ms", "itl_p50_ms", "itl_p95_ms"
-        )},
+        # An fp16 pass takes a fraction of a second, and a slow stretch
+        # of a shared machine can cover every pass of a round; other
+        # work on the machine only ever slows a pass, so the run's best
+        # pass is its steadiest figure.
+        "fp16_tok_s": max(tally.fp16_tok_s),
+        "ttft_p50_ms": np.percentile(ttft_ms, 50),
+        "ttft_p95_ms": np.percentile(ttft_ms, 95),
+        "itl_p50_ms": np.percentile(itl_ms, 50),
+        "itl_p95_ms": np.percentile(itl_ms, 95),
         "kv_rel_err": (audit.err_sq / audit.ref_sq) ** 0.5 if audit.ref_sq else 0.0,
         "token_match": tally.matched / tally.compared if tally.compared else 0.0,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,

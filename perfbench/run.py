@@ -2,7 +2,7 @@
 
 Run from the root of a checkout::
 
-    python3 perfbench/run.py --workload decode_batch --seed 1 --seconds 40 --trace 0
+    python3 perfbench/run.py --workload decode_batch --seed 1 --seconds 24 --trace 0
 
 ``--trace 0`` prints the end-to-end metrics, ``--trace 1`` the per-layer
 metrics of a traced run.  The last line of standard output is one JSON
@@ -43,10 +43,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--seed", type=_seed, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument(
-        "--scale", type=float, default=1.0,
-        help="request-count multiplier (tests run tiny rounds)",
-    )
     return parser.parse_args(argv)
 
 
@@ -54,11 +50,15 @@ def build_zoo(model: str) -> None:
     """Train the proxy into the checkout's model zoo if it is missing —
     in a child process, so neither the timing nor the peak memory of the
     run includes training."""
+    from repro.llm.train import _checkpoint_path
+
+    path = _checkpoint_path(model, 0)
+    if path.exists():
+        return
+    print(f"training {path.name} (untimed, once)", file=sys.stderr)
     code = (
         "import sys; sys.path.insert(0, 'src'); "
-        "from repro.llm.train import _checkpoint_path, get_trained_model; "
-        f"p = _checkpoint_path({model!r}, 0); "
-        "p.exists() or print(f'training {p.name} (untimed, once)', file=sys.stderr); "
+        "from repro.llm.train import get_trained_model; "
         f"get_trained_model({model!r})"
     )
     subprocess.run([sys.executable, "-c", code], cwd=ROOT, check=True)
@@ -91,7 +91,7 @@ def main(argv=None) -> int:
     from workloads import MODEL
 
     build_zoo(MODEL)
-    result = bench.run(args.workload, args.seed, args.seconds, bool(args.trace), args.scale)
+    result = bench.run(args.workload, args.seed, args.seconds, bool(args.trace))
     for problem in result.pop("problems"):
         print(f"CHECK FAILED: {problem}", file=sys.stderr)
     for name, metric in result["metrics"].items():
@@ -102,7 +102,7 @@ def main(argv=None) -> int:
         "trace": args.trace,
         "rounds": result.pop("rounds"),
         "round_tok_s": result.pop("round_tok_s"),
-        "round_fp16_tok_s": result.pop("round_fp16_tok_s"),
+        "fp16_pass_tok_s": result.pop("fp16_pass_tok_s"),
         "samples": result.pop("samples"),
         "env": environment(),
     }))

@@ -31,7 +31,7 @@ import workloads  # noqa: E402
 from tracer import Tracer  # noqa: E402
 
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
-#: Tiny runs: a few requests per round, minimum rounds only.
+#: Tiny runs: a few requests per round, one round.
 TINY = {"seconds": 0.5, "scale": 0.05}
 
 
@@ -133,7 +133,7 @@ def test_tracer_refuses_to_shadow_an_inherited_method():
 def test_inputs_depend_only_on_the_seed():
     corpus = SyntheticCorpus()
     for cls in workloads.WORKLOADS.values():
-        workload = cls(seconds=20.0)
+        workload = cls()
         a, b, c = (workload.inputs(s, 0, corpus) for s in (3, 3, 4))
         assert _fingerprint(a) == _fingerprint(b) != _fingerprint(c)
 
@@ -142,16 +142,32 @@ def _fingerprint(inputs):
     return [(x.arrival_s, x.prompt.tobytes(), x.max_new_tokens) for x in inputs]
 
 
-def test_cli_prints_the_result_object_last():
-    out = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "decode_batch",
-         "--seed", "2", "--seconds", "0.5", "--trace", "0", "--scale", "0.05"],
-        cwd=ROOT, capture_output=True, text=True, timeout=600,
+def test_rounds_depend_only_on_the_run_length():
+    for cls in workloads.WORKLOADS.values():
+        workload = cls()
+        assert workload.rounds(0.5) == 1
+        assert workload.rounds(24.0) == 3
+
+
+def test_cli_prints_the_result_object_last(monkeypatch, capsys):
+    import run
+
+    for var in (*run.THREAD_VARS, "ECCO_CACHE_DIR"):
+        monkeypatch.setenv(var, os.environ.get(var, ""))
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    tiny = bench.run
+    monkeypatch.setattr(
+        bench, "run",
+        lambda *args: tiny(*args, scale=TINY["scale"]),
     )
-    assert out.returncode == 0, out.stderr
-    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert run.main([
+        "--workload", "decode_batch", "--seed", "2", "--seconds", "0.5",
+        "--trace", "0",
+    ]) == 0
+    result = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert set(result) == {"correct", "attempted", "failed", "metrics"}
     assert result["correct"] is True
+    assert [(k, m["unit"]) for k, m in result["metrics"].items()] == bench.END_TO_END
 
 
 def test_cli_fails_without_the_program(tmp_path):

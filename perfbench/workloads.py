@@ -46,7 +46,7 @@ from tracer import clock
 MODEL = "proxy-medium"
 PAGE_TOKENS = 8
 MAX_BATCH = 16
-#: Requests whose decoded KV is audited bit-exactly per arm and round.
+#: Requests per round re-served, recording, for the audit.
 AUDIT_REQUESTS = 4
 #: Rows per codec call in the round-trip error audit.
 ROUND_TRIP_ROWS = 32
@@ -59,18 +59,6 @@ class ZooMissingError(RuntimeError):
 def round_seed(seed: int, round_index: int, salt: int) -> int:
     """Independent, reproducible sub-seed for one round's inputs."""
     return int(np.random.SeedSequence([seed, round_index, salt]).generate_state(1)[0])
-
-
-def phase_arrivals(rng, phases) -> np.ndarray:
-    """Arrival times over consecutive ``(seconds, requests)`` phases: in
-    each, the given number of requests at uniform random times — a
-    Poisson process conditioned on its count.  The offered load is then
-    the same for every seed; only its timing varies."""
-    times, start = [], 0.0
-    for seconds, requests in phases:
-        times.append(start + np.sort(rng.uniform(0.0, seconds, size=requests)))
-        start += seconds
-    return np.concatenate(times)
 
 
 def load_model():
@@ -135,7 +123,6 @@ def _engine(model, calib, storage, budget, **kwargs) -> ServingEngine:
         byte_budget=budget,
         page_tokens=PAGE_TOKENS,
         max_batch_size=MAX_BATCH,
-        record_reference=storage == "ecco",
         **kwargs,
     )
 
@@ -151,8 +138,21 @@ class Workload:
     """Inputs from a seed, a stack per round, one serving pass per arm."""
 
     name: str
-    #: fp16 passes per round, each on freshly built fp16 engines.
+    #: Requests per round at ``scale=1``.
+    requests: int
+    #: Nominal wall seconds of one round, which sets how many rounds a
+    #: run of a given length serves; the count never depends on how fast
+    #: a run actually goes.
+    round_s: float
+    #: fp16 passes per round, each on freshly built fp16 engines; the
+    #: run reports its best pass.
     fp16_passes: int
+
+    def __init__(self, scale: float = 1.0):
+        self.count = max(2, round(self.requests * scale))
+
+    def rounds(self, seconds: float) -> int:
+        return max(1, round(seconds / self.round_s))
 
     def setup(self) -> dict:
         """The timed set-up: load, calibrate, and build both arms."""
@@ -164,6 +164,10 @@ class Workload:
         }
 
     def build(self, trained, calib, storage: str):
+        raise NotImplementedError
+
+    def ecco_engine(self, stack: dict) -> ServingEngine:
+        """An Ecco engine of the stack, for the audit after timing."""
         raise NotImplementedError
 
     def inputs(self, seed: int, round_index: int, corpus) -> list:
@@ -178,9 +182,10 @@ class Workload:
 # ----------------------------------------------------------------------
 class DecodeBatch(Workload):
     name = "decode_batch"
-    fp16_passes = 2
-    #: >= 200 TTFT samples per round, ten beyond p95.
-    requests = 204
+    fp16_passes = 5
+    #: A 24 s run serves three rounds: 204 TTFT samples, 10 beyond p95.
+    requests = 68
+    round_s = 8.0
     prompt_tokens = 8
     #: Output lengths are uniform in this range: long next to the
     #: prompts, and varied so that slots free one at a time and
@@ -188,9 +193,6 @@ class DecodeBatch(Workload):
     new_tokens = (6, 14)
     #: Ample: every request of a round fits at once, even in fp16.
     budget = 4_000_000
-
-    def __init__(self, seconds: float, scale: float = 1.0):
-        self.count = max(2, round(self.requests * scale))
 
     def inputs(self, seed: int, round_index: int, corpus):
         """Short, unshared prompts: consecutive windows of a fresh
@@ -206,6 +208,9 @@ class DecodeBatch(Workload):
 
     def build(self, trained, calib, storage: str):
         return _engine(trained.model, calib, storage, self.budget)
+
+    def ecco_engine(self, stack: dict) -> ServingEngine:
+        return stack["ecco"]
 
     def serve(self, stack, batch, storage: str) -> Arm:
         """Submit the whole batch at once and drain it with ``run()``."""
@@ -291,60 +296,73 @@ class _StampedFrontend(AsyncServingEngine):
 
 class PrefixReplay(Workload):
     name = "prefix_replay"
-    fp16_passes = 2
-    #: >= 200 TTFT samples per round, ten beyond p95.
-    requests = 200
-    #: Arrivals come in bursts of ``burst_requests`` within ``burst_s``,
-    #: one every ``period_s`` (virtual seconds).  A burst queues far more
-    #: work than a step serves, and the stack drains it before the next,
-    #: so every burst is served from a full batch.
-    burst_requests = 50
+    fp16_passes = 3
+    #: A 24 s run serves three rounds: 210 TTFT samples, 10 beyond p95.
+    requests = 70
+    round_s = 8.0
+    #: Each round is one burst: its requests arrive at uniform random
+    #: times within ``burst_s`` virtual seconds (a Poisson process
+    #: conditioned on its count, so every seed offers the same load).
+    #: The burst queues far more work than a step serves, so it is
+    #: served from a full batch.
     burst_s = 0.25
-    period_s = 6.0
+    #: The generator's own arrival rate, which sets how the chat, RAG
+    #: and agent sessions interleave; the burst replaces its times.
+    trace_rate_rps = 12.0
+    #: Every round has exactly this mix, so the rounds of every seed ask
+    #: for about the same prefill work.
+    mix = {"rag": 0.3, "agent": 0.2, "chat": 0.5}
     #: Every request fits one replica on both backends (longest request:
-    #: 96 + 24 tokens x 1152 B fp16 = 138 kB), yet the shared-prefix
-    #: traffic overflows it: the pool evicts and the scheduler preempts.
-    budget = 140_000
-    max_prompt_tokens = 96
-    max_new_tokens = 24
+    #: 72 + 32 tokens x 1152 B fp16 = 120 kB), yet a burst overflows it
+    #: on both: the pools evict cached prefixes, and decode growth makes
+    #: the schedulers preempt (a few times a round on Ecco, some twenty
+    #: to thirty times on fp16).
+    budget = 120_000
+    max_prompt_tokens = 72
+    max_new_tokens = 32
+    #: Short replies, their lengths kept close to the mean so that the
+    #: work a round asks for varies little from seed to seed.
+    output_mean = 7.0
+    output_sigma = 0.3
     chunk_tokens = 32
     step_token_budget = 64
     #: Engine-side waiting requests the front-end allows before it holds
     #: dispatches back in its own queue.
     max_pending = 4
 
-    def __init__(self, seconds: float, scale: float = 1.0):
-        self.count = max(2, round(self.requests * scale))
-
     def inputs(self, seed: int, round_index: int, corpus):
         """A chat/RAG/agent mix with long page-aligned shared prefixes
         (multi-page RAG corpora, agent loops growing two pages a turn),
-        arriving in bursts."""
-        rate = self.burst_requests / self.period_s
+        arriving in one burst."""
         config = WorkloadConfig(
-            # Long enough to always hold ``count`` requests; the arrival
-            # times are replaced below.
-            duration_s=2.0 * self.count / rate + 10.0,
-            rate_rps=rate,
+            # Long enough to always hold ``count`` requests.
+            duration_s=2.0 * self.count / self.trace_rate_rps + 10.0,
+            rate_rps=self.trace_rate_rps,
             vocab_size=corpus.vocab_size,
             page_tokens=PAGE_TOKENS,
-            mix={"chat": 0.5, "rag": 0.3, "agent": 0.2},
+            mix=self.mix,
             rag_corpora=3,
             rag_system_pages=8,
             agent_seed_pages=3,
             agent_growth_pages=2,
             chat_turn_mean=10.0,
-            output_mean=4.0,
+            output_mean=self.output_mean,
+            output_sigma=self.output_sigma,
             max_tokens=self.max_new_tokens,
         )
         trace = generate_trace(config, seed=round_seed(seed, round_index, 2))
-        bursts = -(-self.count // self.burst_requests)
-        phases = [
-            (self.burst_s, self.burst_requests),
-            (self.period_s - self.burst_s, 0),
-        ]
         rng = np.random.default_rng(round_seed(seed, round_index, 4))
-        times = phase_arrivals(rng, phases * bursts)
+        times = np.sort(rng.uniform(0.0, self.burst_s, size=self.count))
+        # The first requests of each scenario, in trace order.
+        wanted = {name: round(self.count * share) for name, share in self.mix.items()}
+        wanted["chat"] = self.count - wanted["rag"] - wanted["agent"]
+        picked = []
+        for item in trace:
+            if wanted[item.scenario]:
+                wanted[item.scenario] -= 1
+                picked.append(item)
+        if len(picked) != self.count:
+            raise RuntimeError(f"trace too short for {self.count} requests")
         # Agent loops grow without bound; cutting the prompt keeps its
         # shared prefix and keeps every request within one replica.
         return [
@@ -353,7 +371,7 @@ class PrefixReplay(Workload):
                 arrival_s=float(times[i]),
                 prompt=item.prompt[: self.max_prompt_tokens],
             )
-            for i, item in enumerate(trace[: self.count])
+            for i, item in enumerate(picked)
         ]
 
     def build(self, trained, calib, storage: str):
@@ -371,6 +389,9 @@ class PrefixReplay(Workload):
             for _ in range(2)
         ]
         return virtual, ClusterRouter(engines)
+
+    def ecco_engine(self, stack: dict) -> ServingEngine:
+        return stack["ecco"][1].engines[0]
 
     def serve(self, stack, trace, storage: str) -> Arm:
         virtual, cluster = stack[storage]
@@ -432,12 +453,10 @@ class Audit:
     #: Squared-error and squared-norm sums of the K/V round trip.
     err_sq: float = 0.0
     ref_sq: float = 0.0
-    audited: int = 0
 
 
 def audit_arm(arm: Arm, audit: Audit) -> None:
-    """Outcome counts and budget overruns on every engine; for Ecco, the
-    bit-exactness audit and the codec round-trip error."""
+    """Outcome counts and budget overruns on every engine of a timed arm."""
     for engine in arm.engines:
         overruns = engine.pool.stats["budget_overruns"]
         if overruns:
@@ -449,63 +468,64 @@ def audit_arm(arm: Arm, audit: Audit) -> None:
             f"{arm.backend}: {arm.failed} of {arm.sent} requests refused "
             f"or short of their token count"
         )
-    if arm.backend == "ecco":
-        _audit_bit_exact(arm, audit)
-        _round_trip_error(arm, audit)
 
 
-def _audit_bit_exact(arm: Arm, audit: Audit) -> None:
-    """On a few cold (no prefix attached) requests, decoded KV must be
-    bit-identical to a single-stream :class:`KVCacheStream` fed the same
-    recorded raw K/V."""
-    cold = [
-        (engine, request)
-        for engine in arm.engines
-        for request in engine.requests
-        if request.state is RequestState.FINISHED
-        and request.kv.attached_tokens == 0
-    ]
-    step = max(1, len(cold) // AUDIT_REQUESTS)
-    for engine, request in cold[::step][:AUDIT_REQUESTS]:
-        kv = request.kv
-        for layer, (key_codec, value_codec) in enumerate(engine.backend.codecs):
-            reference = KVCacheStream(key_codec=key_codec, value_codec=value_codec)
-            prompt, decode = kv.raw_prompt[layer], kv.raw_decode[layer]
-            reference.append_tokens(prompt["keys"], prompt["values"])
-            for k_row, v_row in zip(decode["keys"], decode["values"]):
-                reference.append(k_row, v_row)
-            if not (
-                np.array_equal(reference.read_keys(), kv.read(layer, "keys"))
-                and np.array_equal(reference.read_values(), kv.read(layer, "values"))
-            ):
-                audit.problems.append(
-                    f"{request.request_id}: layer {layer} decoded KV differs "
-                    f"from the single-stream reference"
-                )
-        audit.audited += 1
-    if not audit.audited:
-        audit.problems.append("no cold request to audit")
+def audit_ecco(workload: Workload, stack: dict, inputs: list, audit: Audit) -> None:
+    """Re-serve a few of the round's requests, evenly spaced, on an Ecco
+    engine of the timed stack, so with the codecs it fitted.  The timed
+    pass recorded nothing; from here on the engine records every raw K/V
+    row and starts every request cold (an attached prefix has no raw
+    rows).  The audited requests' decoded KV must be bit-identical to a
+    single-stream :class:`KVCacheStream` fed the same raw K/V, and their
+    raw rows give the codec round-trip error."""
+    engine = workload.ecco_engine(stack)
+    engine.record_reference, engine.prefix_reuse = True, False
+    step = max(1, len(inputs) // AUDIT_REQUESTS)
+    picks = inputs[::step][:AUDIT_REQUESTS]
+    requests = [engine.submit(item.prompt, item.max_new_tokens) for item in picks]
+    engine.run()
+    for request, item in zip(requests, picks):
+        if not _finished_ok(request, item.max_new_tokens):
+            audit.problems.append(
+                f"audit: {request.request_id} did not finish its "
+                f"{item.max_new_tokens} tokens"
+            )
+            continue
+        _audit_bit_exact(engine, request, audit)
+    _round_trip_error(engine, requests, audit)
 
 
-def _round_trip_error(arm: Arm, audit: Audit) -> None:
-    """Every raw K/V row the requests recorded (the prompt tokens they
-    forwarded and every decode token), through the backend's fitted
-    codecs and back."""
-    for engine in arm.engines:
-        for layer, codecs in enumerate(engine.backend.codecs):
-            for side, codec in zip(("keys", "values"), codecs):
-                rows = []
-                for request in engine.requests:
-                    if request.state is not RequestState.FINISHED:
-                        continue
-                    prompt = request.kv.raw_prompt[layer][side]
-                    if prompt is not None:
-                        rows.append(prompt)
-                    rows.extend(r[None, :] for r in request.kv.raw_decode[layer][side])
-                raw = np.concatenate(rows)
-                # Serving-sized calls, so the audit never sets the peak RSS.
-                for start in range(0, len(raw), ROUND_TRIP_ROWS):
-                    chunk = raw[start : start + ROUND_TRIP_ROWS]
-                    decoded = codec.decode_tokens(codec.encode_tokens(chunk))
-                    audit.err_sq += float(np.sum((chunk - decoded) ** 2))
-                    audit.ref_sq += float(np.sum(chunk**2))
+def _audit_bit_exact(engine: ServingEngine, request, audit: Audit) -> None:
+    kv = request.kv
+    for layer, (key_codec, value_codec) in enumerate(engine.backend.codecs):
+        reference = KVCacheStream(key_codec=key_codec, value_codec=value_codec)
+        prompt, decode = kv.raw_prompt[layer], kv.raw_decode[layer]
+        reference.append_tokens(prompt["keys"], prompt["values"])
+        for k_row, v_row in zip(decode["keys"], decode["values"]):
+            reference.append(k_row, v_row)
+        if not (
+            np.array_equal(reference.read_keys(), kv.read(layer, "keys"))
+            and np.array_equal(reference.read_values(), kv.read(layer, "values"))
+        ):
+            audit.problems.append(
+                f"{request.request_id}: layer {layer} decoded KV differs "
+                f"from the single-stream reference"
+            )
+
+
+def _round_trip_error(engine: ServingEngine, requests: list, audit: Audit) -> None:
+    """Every raw K/V row the audited requests recorded (their prompts and
+    every decode token), through the fitted codecs and back."""
+    for layer, codecs in enumerate(engine.backend.codecs):
+        for side, codec in zip(("keys", "values"), codecs):
+            rows = []
+            for request in requests:
+                rows.append(request.kv.raw_prompt[layer][side])
+                rows.extend(r[None, :] for r in request.kv.raw_decode[layer][side])
+            raw = np.concatenate(rows)
+            # Serving-sized calls, so the audit never sets the peak RSS.
+            for start in range(0, len(raw), ROUND_TRIP_ROWS):
+                chunk = raw[start : start + ROUND_TRIP_ROWS]
+                decoded = codec.decode_tokens(codec.encode_tokens(chunk))
+                audit.err_sq += float(np.sum((chunk - decoded) ** 2))
+                audit.ref_sq += float(np.sum(chunk**2))
