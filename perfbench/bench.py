@@ -5,9 +5,14 @@ divided by the workload's nominal round time, so the count never
 depends on how fast the run goes.  Every round builds a fresh stack (the
 timed set-up), serves that round's inputs on the Ecco arm and the fp16
 arm, then checks the outputs outside the timed region.  Throughput and
-set-up time are medians over the rounds, except that fp16 throughput is
-the best of the run's fp16 passes; latency percentiles are taken over
-the samples of all rounds pooled.
+set-up time are medians over the rounds (fp16 throughput over all the
+run's fp16 passes); latency percentiles are taken over the samples of
+all rounds pooled.
+
+Every timed figure is taken at the nominal machine speed: each set-up
+and each serving pass is timed on a meter of ``speed.py``, which runs a
+reference probe between its parts or steps.  The wall figures, without
+the probes, are printed too, on the line before the result.
 
 A traced run does the same on half-size rounds, but serves the Ecco arm
 twice on each round's inputs, once untraced and once inside the
@@ -26,7 +31,8 @@ import numpy as np
 from repro.llm.data import SyntheticCorpus
 
 import layers
-from tracer import Tracer, clock
+from speed import Meter
+from tracer import Tracer
 from workloads import WORKLOADS, Audit, audit_arm, audit_ecco
 
 #: (metric name, unit) of every end-to-end metric, in report order.
@@ -54,6 +60,7 @@ WARMUP_ROUND = 1_000_000
 class Tally:
     """What the rounds of one run add up to."""
 
+    #: Timed figures at the nominal machine speed.
     setup_s: list[float] = field(default_factory=list)
     tok_s: list[float] = field(default_factory=list)
     #: Throughput of every fp16 pass of the run.
@@ -61,6 +68,12 @@ class Tally:
     #: TTFT and ITL samples of every Ecco pass, in seconds.
     ttft_s: list[float] = field(default_factory=list)
     itl_s: list[float] = field(default_factory=list)
+    #: The same set-up times and throughputs in wall time, and the
+    #: slowness of every timed pass and set-up.
+    wall_setup_s: list[float] = field(default_factory=list)
+    wall_tok_s: list[float] = field(default_factory=list)
+    wall_fp16_tok_s: list[float] = field(default_factory=list)
+    slowness: list[float] = field(default_factory=list)
     sent: int = 0
     failed: int = 0
     matched: int = 0
@@ -69,6 +82,8 @@ class Tally:
 
     def add_ecco(self, arm) -> None:
         self.tok_s.append(arm.tok_s)
+        self.wall_tok_s.append(arm.wall_tok_s)
+        self.slowness.append(arm.slowness)
         self.ttft_s.extend(arm.ttft_s)
         self.itl_s.extend(arm.itl_s)
         self.sent += arm.sent
@@ -79,6 +94,8 @@ class Tally:
         """The round's fp16 passes: their throughput, and how many of
         Ecco's greedy tokens equal fp16's at the same position."""
         self.fp16_tok_s.extend(arm.tok_s for arm in arms)
+        self.wall_fp16_tok_s.extend(arm.wall_tok_s for arm in arms)
+        self.slowness.extend(arm.slowness for arm in arms)
         for arm in arms:
             audit_arm(arm, self.audit)
         for i, reference in arms[0].tokens.items():
@@ -108,9 +125,14 @@ class Traced:
 
 
 def _timed_setup(workload, tally: Tally):
-    start = clock()
-    stack = workload.setup()
-    tally.setup_s.append(clock() - start)
+    meter = Meter()
+    stack = workload.setup(meter)
+    # A set-up has a few long parts, not many short steps: its wall time
+    # over its mean slowness follows the machine better than the meter,
+    # which times each part at the speed just before it.
+    tally.setup_s.append(meter.wall() / meter.slowness)
+    tally.wall_setup_s.append(meter.wall())
+    tally.slowness.append(meter.slowness)
     return stack
 
 
@@ -155,7 +177,7 @@ def _traced_round(workload, inputs, tally: Tally, traced: Traced) -> None:
     traced.setups += 1
     with traced.serve:
         arm = workload.serve(stack, inputs, "ecco")
-    traced.wall_s += arm.region_s
+    traced.wall_s += arm.wall_region_s
     tally.add_ecco(arm)
     traced.arms.append(arm)
 
@@ -196,10 +218,20 @@ def run(name: str, seed: int, seconds: float, trace: bool, scale: float = 1.0) -
         },
         "problems": tally.audit.problems,
         "rounds": rounds,
-        "round_tok_s": [round(x, 3) for x in tally.tok_s],
+        "wall": {
+            "setup_s": statistics.median(tally.wall_setup_s),
+            "tok_s": statistics.median(tally.wall_tok_s),
+            "fp16_tok_s": _median_or_zero(tally.wall_fp16_tok_s),
+            "round_tok_s": [round(x, 3) for x in tally.wall_tok_s],
+        },
+        "slowness": [round(x, 3) for x in tally.slowness],
         "fp16_pass_tok_s": [round(x, 3) for x in tally.fp16_tok_s],
         "samples": {"ttft": len(tally.ttft_s), "itl": len(tally.itl_s)},
     }
+
+
+def _median_or_zero(values: list[float]) -> float:
+    return statistics.median(values) if values else 0.0
 
 
 def end_to_end_metrics(tally: Tally) -> dict[str, float]:
@@ -208,11 +240,7 @@ def end_to_end_metrics(tally: Tally) -> dict[str, float]:
     return {
         "setup_s": statistics.median(tally.setup_s),
         "tok_s": statistics.median(tally.tok_s),
-        # An fp16 pass takes a fraction of a second, and a slow stretch
-        # of a shared machine can cover every pass of a round; other
-        # work on the machine only ever slows a pass, so the run's best
-        # pass is its steadiest figure.
-        "fp16_tok_s": max(tally.fp16_tok_s),
+        "fp16_tok_s": statistics.median(tally.fp16_tok_s),
         "ttft_p50_ms": np.percentile(ttft_ms, 50),
         "ttft_p95_ms": np.percentile(ttft_ms, 95),
         "itl_p50_ms": np.percentile(itl_ms, 50),

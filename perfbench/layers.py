@@ -238,7 +238,7 @@ def per_layer_metrics(
         "engine.steps": t.calls.get("engine.step", 0),
         "engine.step.self_s": t.self_s.get("engine.step", 0.0),
         "cluster.route_s": t.self_s.get("cluster.route", 0.0),
-        "frontend.pump_self_s": sum(a.region_s for a in arms)
+        "frontend.pump_self_s": sum(a.wall_region_s for a in arms)
         - t.total_s.get("engine.step", 0.0),
         "obs.registry_s": t.self_s.get("obs.registry", 0.0),
         "bench.traced_wall_s": traced_wall_s,

@@ -2,7 +2,7 @@
 
 Run from the root of a checkout::
 
-    python3 perfbench/run.py --workload decode_batch --seed 1 --seconds 24 --trace 0
+    python3 perfbench/run.py --workload decode_batch --seed 1 --seconds 32 --trace 0
 
 ``--trace 0`` prints the end-to-end metrics, ``--trace 1`` the per-layer
 metrics of a traced run.  The last line of standard output is one JSON
@@ -101,7 +101,8 @@ def main(argv=None) -> int:
         "seed": args.seed,
         "trace": args.trace,
         "rounds": result.pop("rounds"),
-        "round_tok_s": result.pop("round_tok_s"),
+        "wall": result.pop("wall"),
+        "slowness": result.pop("slowness"),
         "fp16_pass_tok_s": result.pop("fp16_pass_tok_s"),
         "samples": result.pop("samples"),
         "env": environment(),

@@ -16,6 +16,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -27,8 +28,9 @@ sys.path[:0] = [str(ROOT / "src"), str(HERE)]
 import bench  # noqa: E402
 import layers  # noqa: E402
 from repro.llm.data import SyntheticCorpus  # noqa: E402
+import speed  # noqa: E402
 import workloads  # noqa: E402
-from tracer import Tracer  # noqa: E402
+from tracer import Tracer, clock  # noqa: E402
 
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 #: Tiny runs: a few requests per round, one round.
@@ -143,10 +145,37 @@ def _fingerprint(inputs):
 
 
 def test_rounds_depend_only_on_the_run_length():
-    for cls in workloads.WORKLOADS.values():
+    rounds = {"decode_batch": 4, "prefix_replay": 5}
+    for name, cls in workloads.WORKLOADS.items():
         workload = cls()
         assert workload.rounds(0.5) == 1
-        assert workload.rounds(24.0) == 3
+        assert workload.rounds(SPEC["run_seconds"]) == rounds[name]
+
+
+def test_meter_leaves_the_probes_out():
+    meter = speed.Meter()
+    start, wall = meter(), meter.wall()
+    before = clock()
+    for _ in range(3):
+        meter.probe()
+    probes_s = clock() - before
+    assert meter() - start < probes_s / 2
+    assert meter.wall() - wall < probes_s / 2
+
+
+def test_meter_runs_at_the_nominal_speed(monkeypatch):
+    """On a machine that runs the reference loop at half the nominal
+    speed, a meter counts half the wall time."""
+    monkeypatch.setattr(
+        speed, "reference_loop",
+        lambda: time.sleep(2 * speed.REFERENCE_NOMINAL_S),
+    )
+    meter = speed.Meter()
+    meter.probe()
+    start = meter()
+    time.sleep(0.2)
+    assert 0.06 < meter() - start < 0.11
+    assert 1.9 < meter.slowness < 3.0
 
 
 def test_cli_prints_the_result_object_last(monkeypatch, capsys):

@@ -41,7 +41,7 @@ from repro.serve import (
     replay_trace,
 )
 
-from tracer import clock
+from speed import Meter
 
 MODEL = "proxy-medium"
 PAGE_TOKENS = 8
@@ -88,15 +88,14 @@ class Arm:
     backend: str
     #: Input index -> tokens the request generated.
     tokens: dict[int, list[int]]
-    #: Wall seconds from the first submit to the last finish.
-    wall_s: float
+    #: Seconds from the first submit to the last finish, on the pass's
+    #: meter (at the nominal machine speed; see ``speed.py``).
+    elapsed_s: float
     ttft_s: list[float]
     itl_s: list[float]
     sent: int
     failed: int
     engines: list[ServingEngine]
-    #: Wall seconds of the serving region (submit loop included).
-    region_s: float = 0.0
     #: How late each request was submitted against its due time, in
     #: seconds of the workload's clock (virtual on prefix_replay; the
     #: closed batch is due at its start).
@@ -105,6 +104,11 @@ class Arm:
     frontend: AsyncServingEngine | None = None
     #: Virtual-clock TTFTs (prefix_replay only), labelled as modeled.
     modeled_ttft_s: list[float] = field(default_factory=list)
+    #: Wall seconds of the serving region (submit loop included) without
+    #: the reference probes, and the machine's mean slowness over the
+    #: pass.
+    wall_region_s: float = 0.0
+    slowness: float = 1.0
 
     @property
     def generated(self) -> int:
@@ -112,7 +116,12 @@ class Arm:
 
     @property
     def tok_s(self) -> float:
-        return self.generated / self.wall_s
+        return self.generated / self.elapsed_s
+
+    @property
+    def wall_tok_s(self) -> float:
+        """Throughput over the serving region in wall time."""
+        return self.generated / self.wall_region_s
 
 
 def _engine(model, calib, storage, budget, **kwargs) -> ServingEngine:
@@ -145,7 +154,7 @@ class Workload:
     #: a run actually goes.
     round_s: float
     #: fp16 passes per round, each on freshly built fp16 engines; the
-    #: run reports its best pass.
+    #: run reports their median.
     fp16_passes: int
 
     def __init__(self, scale: float = 1.0):
@@ -154,14 +163,18 @@ class Workload:
     def rounds(self, seconds: float) -> int:
         return max(1, round(seconds / self.round_s))
 
-    def setup(self) -> dict:
-        """The timed set-up: load, calibrate, and build both arms."""
+    def setup(self, meter: Meter | None = None) -> dict:
+        """The timed set-up: load, calibrate, and build both arms, with
+        a reference probe between the parts when timed on a meter."""
+        probe = meter.probe if meter else lambda: None
+        probe()
         trained, calib = load_and_calibrate()
-        return {
-            "model": (trained, calib),
-            "ecco": self.build(trained, calib, "ecco"),
-            "fp16": self.build(trained, calib, "fp16"),
-        }
+        probe()
+        stack = {"model": (trained, calib)}
+        for storage in ("ecco", "fp16"):
+            stack[storage] = self.build(trained, calib, storage)
+            probe()
+        return stack
 
     def build(self, trained, calib, storage: str):
         raise NotImplementedError
@@ -183,11 +196,11 @@ class Workload:
 class DecodeBatch(Workload):
     name = "decode_batch"
     fp16_passes = 5
-    #: A 24 s run serves three rounds: 204 TTFT samples, 10 beyond p95.
+    #: A 32 s run serves four rounds: 272 TTFT samples, 13 beyond p95.
     requests = 68
     round_s = 8.0
     prompt_tokens = 8
-    #: Output lengths are uniform in this range: long next to the
+    #: Output lengths cover this range evenly: long next to the
     #: prompts, and varied so that slots free one at a time and
     #: continuous batching refills them (no lock-step waves).
     new_tokens = (6, 14)
@@ -196,34 +209,53 @@ class DecodeBatch(Workload):
 
     def inputs(self, seed: int, round_index: int, corpus):
         """Short, unshared prompts: consecutive windows of a fresh
-        synthetic-corpus stream."""
+        synthetic-corpus stream.  Every length in ``new_tokens`` comes
+        up equally often in every round, in a seeded order, so each
+        round asks for the same decode work."""
         n, p = self.count, self.prompt_tokens
         stream = corpus.token_stream(n * p, seed=round_seed(seed, round_index, 1))
         rng = np.random.default_rng(round_seed(seed, round_index, 5))
-        lengths = rng.integers(self.new_tokens[0], self.new_tokens[1] + 1, size=n)
+        low, high = self.new_tokens
+        lengths = rng.permutation(np.resize(np.arange(low, high + 1), n))
         return [
             TraceRequest(0.0, stream[i * p : (i + 1) * p], int(lengths[i]))
             for i in range(n)
         ]
 
     def build(self, trained, calib, storage: str):
-        return _engine(trained.model, calib, storage, self.budget)
+        """One engine, on a meter of its own as its clock."""
+        return _engine(trained.model, calib, storage, self.budget, clock=Meter())
 
     def ecco_engine(self, stack: dict) -> ServingEngine:
         return stack["ecco"]
 
     def serve(self, stack, batch, storage: str) -> Arm:
-        """Submit the whole batch at once and drain it with ``run()``."""
+        """Submit the whole batch at once and drain it with ``run()``,
+        probing the machine's speed between steps."""
         engine = stack[storage]
-        region_start = clock()
+        meter = engine.clock
+        step = engine.step
+
+        def probed_step() -> int:
+            tokens = step()
+            meter.maybe_probe()
+            return tokens
+
+        meter.probe()
+        region_start, wall_start = meter(), meter.wall()
         requests, failed = {}, 0
         for i, item in enumerate(batch):
             try:
                 requests[i] = engine.submit(item.prompt, item.max_new_tokens)
             except BudgetExceededError:
                 failed += 1
-        engine.run()
-        region_s = clock() - region_start
+        engine.step = probed_step
+        try:
+            engine.run()
+        finally:
+            del engine.step
+        wall_region_s = meter.wall() - wall_start
+        meter.probe()
         done = [
             r
             for i, r in requests.items()
@@ -232,15 +264,16 @@ class DecodeBatch(Workload):
         return Arm(
             backend=storage,
             tokens={i: list(r.generated) for i, r in requests.items()},
-            wall_s=max(r.metrics.finish_s for r in done)
+            elapsed_s=max(r.metrics.finish_s for r in done)
             - min(r.metrics.arrival_s for r in requests.values()),
             ttft_s=[r.metrics.ttft_s for r in done],
             itl_s=[g for r in done for g in r.metrics.inter_token_s],
             sent=len(batch),
             failed=failed + len(requests) - len(done),
             engines=[engine],
-            region_s=region_s,
             late_s=[r.metrics.arrival_s - region_start for r in requests.values()],
+            wall_region_s=wall_region_s,
+            slowness=meter.slowness,
         )
 
 
@@ -248,11 +281,13 @@ class DecodeBatch(Workload):
 # prefix_replay: bursty shared-prefix trace, async front-end, 2 replicas.
 # ----------------------------------------------------------------------
 class _WallStamps:
-    """The cluster as the front-end sees it, stamping in wall time the
-    tokens each step delivers (the virtual clock only orders events)."""
+    """The cluster as the front-end sees it, stamping on the pass's meter
+    the tokens each step delivers (the virtual clock only orders
+    events), and probing the machine's speed between steps."""
 
-    def __init__(self, cluster: ClusterRouter):
+    def __init__(self, cluster: ClusterRouter, meter: Meter):
         self.cluster = cluster
+        self.meter = meter
         self.live: list = []
         self.token_wall: dict[str, list[float]] = {}
 
@@ -267,7 +302,7 @@ class _WallStamps:
 
     def step(self) -> int:
         tokens = self.cluster.step()
-        now = clock()
+        now = self.meter()
         live = []
         for request in self.live:
             stamps = self.token_wall[request.request_id]
@@ -275,20 +310,22 @@ class _WallStamps:
             if request.state is not RequestState.FINISHED:
                 live.append(request)
         self.live = live
+        self.meter.maybe_probe()
         return tokens
 
 
 class _StampedFrontend(AsyncServingEngine):
-    """The async front-end, recording the wall time of every client
+    """The async front-end, recording the meter time of every client
     submit so TTFT counts front-end queueing too."""
 
-    def __init__(self, target, **kwargs):
+    def __init__(self, target: _WallStamps, **kwargs):
         super().__init__(target, **kwargs)
-        #: (wall time, virtual time, handle, trace arrival time) per submit.
+        self.meter = target.meter
+        #: (meter time, virtual time, handle, trace arrival time) per submit.
         self.submits: list[tuple[float, float, object, float]] = []
 
     def submit(self, prompt, max_new_tokens, **kwargs):
-        wall, virtual = clock(), self.clock()
+        wall, virtual = self.meter(), self.clock()
         handle = super().submit(prompt, max_new_tokens, **kwargs)
         self.submits.append((wall, virtual, handle, kwargs["arrival_s"]))
         return handle
@@ -296,10 +333,12 @@ class _StampedFrontend(AsyncServingEngine):
 
 class PrefixReplay(Workload):
     name = "prefix_replay"
-    fp16_passes = 3
-    #: A 24 s run serves three rounds: 210 TTFT samples, 10 beyond p95.
+    fp16_passes = 2
+    #: A 32 s run serves five rounds: 350 TTFT samples, 17 beyond p95.
+    #: Five, because each round's mix of prefill and decode steps moves
+    #: the inter-token percentiles, and more rounds even it out.
     requests = 70
-    round_s = 8.0
+    round_s = 6.4
     #: Each round is one burst: its requests arrive at uniform random
     #: times within ``burst_s`` virtual seconds (a Poisson process
     #: conditioned on its count, so every seed offers the same load).
@@ -395,11 +434,14 @@ class PrefixReplay(Workload):
 
     def serve(self, stack, trace, storage: str) -> Arm:
         virtual, cluster = stack[storage]
-        stamps = _WallStamps(cluster)
+        meter = Meter()
+        stamps = _WallStamps(cluster, meter)
         frontend = _StampedFrontend(stamps, max_pending=self.max_pending)
-        region_start = clock()
+        meter.probe()
+        wall_start = meter.wall()
         outcome = replay_trace(frontend, trace, virtual)
-        region_s = clock() - region_start
+        wall_region_s = meter.wall() - wall_start
+        meter.probe()
         index = {
             (item.arrival_s, item.prompt.tobytes()): i
             for i, item in enumerate(trace)
@@ -425,17 +467,18 @@ class PrefixReplay(Workload):
         return Arm(
             backend=storage,
             tokens=tokens,
-            wall_s=last - first,
+            elapsed_s=last - first,
             ttft_s=ttft,
             itl_s=itl,
             sent=len(trace),
             failed=failed,
             engines=cluster.engines,
-            region_s=region_s,
             late_s=[virtual - arrival for _, virtual, _, arrival in frontend.submits],
             cluster=cluster,
             frontend=frontend,
             modeled_ttft_s=modeled,
+            wall_region_s=wall_region_s,
+            slowness=meter.slowness,
         )
 
 
